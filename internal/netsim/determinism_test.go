@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"mosaic/internal/sim"
@@ -79,7 +80,10 @@ func TestCompletionTieBreakDeterministic(t *testing.T) {
 
 // Regression (perf): capacity writes that change nothing — repeated
 // RestoreLink, a Bridge re-sync publishing the fraction the link already
-// has, a second FailLink — must not trigger a global reschedule.
+// has, a second FailLink — must not waterfill at all, and a real change
+// on a loaded link must waterfill its component exactly once. The
+// sequence runs on a link the flow crosses, so a skipped recompute is
+// the no-op check at work, not an empty component.
 func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 	topo, err := NewLeafSpine(2, 2, 2, 100e9)
 	if err != nil {
@@ -91,41 +95,51 @@ func TestSetLinkCapacityFractionNoOpSkipsRecompute(t *testing.T) {
 	if _, err := fs.StartFlow(hosts[0], hosts[2], 1e12, 5); err != nil {
 		t.Fatal(err)
 	}
+	link := fs.FlowStates()[0].Path[1] // the flow's leaf→spine hop
 
-	base := fs.Recomputes()
-	fs.RestoreLink(2) // already at full capacity
-	fs.RestoreLink(2)
-	if got := fs.Recomputes(); got != base {
-		t.Fatalf("no-op RestoreLink recomputed: %d -> %d", base, got)
+	expect := func(what string, want uint64) {
+		t.Helper()
+		if got := fs.Waterfills(); got != want {
+			t.Fatalf("%s: waterfills %d, want %d", what, got, want)
+		}
 	}
+	base := fs.Waterfills()
+	fs.RestoreLink(link) // already at full capacity
+	fs.RestoreLink(link)
+	expect("no-op RestoreLink", base)
 
-	fs.SetLinkCapacityFraction(2, 0.5)
-	if got := fs.Recomputes(); got != base+1 {
-		t.Fatalf("real change should recompute once: %d -> %d", base, got)
-	}
-	fs.SetLinkCapacityFraction(2, 0.5) // same fraction again
-	if got := fs.Recomputes(); got != base+1 {
-		t.Fatalf("repeated fraction recomputed: %d", got)
-	}
+	fs.SetLinkCapacityFraction(link, 0.5)
+	expect("real fraction change", base+1)
+	fs.SetLinkCapacityFraction(link, 0.5) // same fraction again
+	expect("repeated fraction", base+1)
 
-	// A second kill of a dead link is a no-op too.
-	dead := 3
-	fs.FailLink(dead)
-	n := fs.Recomputes()
-	fs.FailLink(dead)
-	if got := fs.Recomputes(); got != n {
-		t.Fatalf("second FailLink recomputed: %d -> %d", n, got)
-	}
+	fs.RestoreLink(link)
+	expect("real restore", base+2)
+	fs.RestoreLink(link)
+	expect("double RestoreLink", base+2)
 
-	// The incremental engine honors the same contract (waterfill counter).
-	ifs := NewIncFlowSim(topo, sim.NewEngine(1))
-	if _, err := ifs.StartFlow(hosts[0], hosts[2], 1e12, 5); err != nil {
-		t.Fatal(err)
+	// Killing the link reroutes the flow (one waterfill of its new
+	// component); a second kill of the dead link is a no-op.
+	fs.FailLink(link)
+	expect("real kill", base+3)
+	fs.FailLink(link)
+	expect("second FailLink", base+3)
+
+	// A capacity change on a link no flow crosses re-rates nothing.
+	path := fs.FlowStates()[0].Path
+	idle := -1
+	for l := range topo.Links {
+		if !slices.Contains(path, l) && fs.LinkCapacity(l) > 0 {
+			idle = l
+			break
+		}
 	}
-	w := ifs.Waterfills()
-	ifs.RestoreLink(2)
-	ifs.RestoreLink(2)
-	if got := ifs.Waterfills(); got != w {
-		t.Fatalf("incremental no-op RestoreLink waterfilled: %d -> %d", w, got)
+	if idle < 0 {
+		t.Fatal("topology has no idle live link")
 	}
+	fs.SetLinkCapacityFraction(idle, 0.25)
+	if got, want := fs.LinkCapacity(idle), topo.Links[idle].RateBps*0.25; got != want {
+		t.Fatalf("idle link capacity %g, want %g", got, want)
+	}
+	expect("idle-link change", base+3)
 }

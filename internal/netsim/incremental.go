@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"math"
 	"slices"
 	"sort"
@@ -10,11 +9,10 @@ import (
 )
 
 // This file is the incremental flow engine: the dirty-set max-min core
-// (flowGraph) shared by IncFlowSim and the fleet shards, plus IncFlowSim
+// (flowGraph) shared by FlowSim and the fleet shards, plus FlowSim
 // itself — an event-driven, exactly-max-min simulator that only
 // re-waterfills the connected component of links/flows an event can
-// have affected, instead of FlowSim's full O(links × flows × pathlen)
-// sweep on every event.
+// have affected, never the whole fabric.
 //
 // Exactness: weighted max-min by progressive filling decomposes over
 // connected components of the flow/link sharing graph — flows in
@@ -60,7 +58,7 @@ type incFlow struct {
 
 // flowGraph is the incremental allocation core: per-link flow indices,
 // a dirty-link set, and a component-restricted waterfill with reusable
-// scratch. IncFlowSim drives one flowGraph from a discrete-event engine;
+// scratch. FlowSim drives one flowGraph from a discrete-event engine;
 // the sharded fleet engine drives one per shard from its epoch barrier.
 type flowGraph struct {
 	topo     *Topology
@@ -317,32 +315,76 @@ type completion struct {
 	ver uint32
 }
 
+// completionHeap is a binary min-heap of completions. push, pop and init
+// are container/heap's sift-up/sift-down algorithm specialised to the
+// element type, so the pop order is identical but no entry is boxed in
+// an interface.
 type completionHeap []completion
 
-func (h completionHeap) Len() int { return len(h) }
-func (h completionHeap) Less(i, j int) bool {
+func (h completionHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].id < h[j].id
 }
-func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)   { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *completionHeap) push(c completion) {
+	*h = append(*h, c)
+	h.up(len(*h) - 1)
 }
 
-// IncFlowSim is the incremental counterpart of FlowSim: the same
-// max-min fluid model and discrete-event integration, but each arrival,
-// completion, or capacity change re-waterfills only the affected
-// component (per-link flow indices + dirty set) and the next completion
-// comes from a heap instead of an O(flows) scan. It implements the same
-// capacity-sink surface as FlowSim, so mac.Bridge can drive it.
-type IncFlowSim struct {
+// pop removes and returns the minimum entry; the heap must be non-empty.
+func (h *completionHeap) pop() completion {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+// init restores the heap ordering of an arbitrary slice in O(n).
+func (h completionHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h completionHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h completionHeap) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// FlowSim is a max-min fair fluid flow simulator over a Topology, driven
+// by a discrete-event engine. Each arrival, completion, or capacity
+// change re-waterfills only the affected component (per-link flow
+// indices + dirty set), and the next completion comes from a heap. It
+// is the capacity sink mac.Bridge drives.
+type FlowSim struct {
 	Topo   *Topology
 	Engine *sim.Engine
 
@@ -357,14 +399,14 @@ type IncFlowSim struct {
 	batch     bool
 }
 
-// NewIncFlowSim builds an incremental simulator over the topology with
-// every link at its nominal rate.
-func NewIncFlowSim(t *Topology, engine *sim.Engine) *IncFlowSim {
+// NewFlowSim builds a simulator over the topology with every link at its
+// nominal rate.
+func NewFlowSim(t *Topology, engine *sim.Engine) *FlowSim {
 	capacity := make([]float64, len(t.Links))
 	for i, l := range t.Links {
 		capacity[i] = l.RateBps
 	}
-	return &IncFlowSim{
+	return &FlowSim{
 		Topo:   t,
 		Engine: engine,
 		g:      newFlowGraph(t, capacity),
@@ -373,29 +415,29 @@ func NewIncFlowSim(t *Topology, engine *sim.Engine) *IncFlowSim {
 }
 
 // LinkCapacity returns the current capacity of a link.
-func (fs *IncFlowSim) LinkCapacity(linkID int) float64 { return fs.g.capacity[linkID] }
+func (fs *FlowSim) LinkCapacity(linkID int) float64 { return fs.g.capacity[linkID] }
 
 // ActiveFlows returns the number of in-flight flows.
-func (fs *IncFlowSim) ActiveFlows() int { return len(fs.active) }
+func (fs *FlowSim) ActiveFlows() int { return len(fs.active) }
 
 // Records returns completed/stalled flow records.
-func (fs *IncFlowSim) Records() []FlowRecord { return fs.records }
+func (fs *FlowSim) Records() []FlowRecord { return fs.records }
 
 // Waterfills returns how many component waterfill passes have run.
-func (fs *IncFlowSim) Waterfills() uint64 { return fs.g.waterfills }
+func (fs *FlowSim) Waterfills() uint64 { return fs.g.waterfills }
 
 // RatedFlows returns the cumulative number of per-flow rate assignments
-// — the incremental engine's work metric, directly comparable to
-// FlowSim's recomputes × active flows.
-func (fs *IncFlowSim) RatedFlows() uint64 { return fs.g.rated }
+// — the engine's work metric: a global re-fill on every event would
+// rate every active flow each time.
+func (fs *FlowSim) RatedFlows() uint64 { return fs.g.rated }
 
 // StartFlow injects a weight-1 flow now (ECMP path from the hash).
-func (fs *IncFlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, error) {
+func (fs *FlowSim) StartFlow(src, dst int, sizeBits float64, hash uint64) (int, error) {
 	return fs.StartFlowWeighted(src, dst, sizeBits, hash, 1)
 }
 
 // StartFlowWeighted injects a flow with a max-min scheduling weight.
-func (fs *IncFlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64, weight float64) (int, error) {
+func (fs *FlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uint64, weight float64) (int, error) {
 	if sizeBits <= 0 {
 		return 0, errFlowSize
 	}
@@ -426,18 +468,23 @@ func (fs *IncFlowSim) StartFlowWeighted(src, dst int, sizeBits float64, hash uin
 // affected component once. Use it to apply a burst of simultaneous
 // events (a correlated failure, a fleet epoch) at O(components) instead
 // of O(events × components).
-func (fs *IncFlowSim) BeginBatch() { fs.batch = true }
+func (fs *FlowSim) BeginBatch() { fs.batch = true }
 
 // CommitBatch ends a batch and recomputes the dirtied components.
-func (fs *IncFlowSim) CommitBatch() {
+func (fs *FlowSim) CommitBatch() {
 	fs.batch = false
 	fs.flush()
 }
 
-// SetLinkCapacityFraction scales a link to frac of its nominal rate,
-// with FlowSim's exact clamping semantics, the no-op early return, and
-// component-local recomputation. frac=0 kills the link and reroutes.
-func (fs *IncFlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
+// SetLinkCapacityFraction scales a link to frac of its nominal rate
+// (graceful degradation: a Mosaic link that lost channels). frac=0 kills
+// the link and reroutes affected flows. frac is clamped to [0, 1]: a
+// degraded link can never exceed its nominal rate (RestoreLink is the
+// ceiling), and NaN is treated as link-down rather than poisoning the
+// max-min waterfill. A write that changes nothing (repeated RestoreLink,
+// a Bridge re-sync, a second FailLink) returns before any recompute, and
+// a real change re-waterfills only the components it touches.
+func (fs *FlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
 	if linkID < 0 || linkID >= len(fs.g.capacity) {
 		return
 	}
@@ -460,14 +507,15 @@ func (fs *IncFlowSim) SetLinkCapacityFraction(linkID int, frac float64) {
 }
 
 // FailLink kills a link entirely and reroutes affected flows.
-func (fs *IncFlowSim) FailLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 0) }
+func (fs *FlowSim) FailLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 0) }
 
 // RestoreLink returns a link to full capacity.
-func (fs *IncFlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 1) }
+func (fs *FlowSim) RestoreLink(linkID int) { fs.SetLinkCapacityFraction(linkID, 1) }
 
 // rerouteThrough re-paths the flows crossing a dead link in ascending
-// flow-ID order (the determinism discipline the FlowSim fix installed).
-func (fs *IncFlowSim) rerouteThrough(linkID int) {
+// flow-ID order, so a kill that strands several flows appends their
+// Stalled records in a run-independent order.
+func (fs *FlowSim) rerouteThrough(linkID int) {
 	refs := fs.g.linkFlows[linkID]
 	crossing := make([]*incFlow, len(refs))
 	for i, ref := range refs {
@@ -495,7 +543,7 @@ func (fs *IncFlowSim) rerouteThrough(linkID int) {
 
 // flush recomputes dirty components (unless batching) and refreshes the
 // completion entries of every re-rated flow.
-func (fs *IncFlowSim) flush() {
+func (fs *FlowSim) flush() {
 	if fs.batch {
 		return
 	}
@@ -504,7 +552,7 @@ func (fs *IncFlowSim) flush() {
 	for _, f := range touched {
 		f.ver++
 		if f.rate > 0 {
-			heap.Push(&fs.h, completion{
+			fs.h.push(completion{
 				at:  fs.Engine.Now() + sim.Time(f.remaining/f.rate),
 				id:  f.ID,
 				ver: f.ver,
@@ -518,7 +566,7 @@ func (fs *IncFlowSim) flush() {
 }
 
 // compact rebuilds the heap dropping stale entries.
-func (fs *IncFlowSim) compact() {
+func (fs *FlowSim) compact() {
 	live := fs.h[:0]
 	for _, c := range fs.h {
 		if f, ok := fs.active[c.id]; ok && f.ver == c.ver {
@@ -526,18 +574,18 @@ func (fs *IncFlowSim) compact() {
 		}
 	}
 	fs.h = live
-	heap.Init(&fs.h)
+	fs.h.init()
 }
 
 // rescheduleHead points the single pending engine event at the heap's
 // first valid entry.
-func (fs *IncFlowSim) rescheduleHead() {
+func (fs *FlowSim) rescheduleHead() {
 	for len(fs.h) > 0 {
 		head := fs.h[0]
 		if f, ok := fs.active[head.id]; ok && f.ver == head.ver {
 			break
 		}
-		heap.Pop(&fs.h)
+		fs.h.pop()
 	}
 	if len(fs.h) == 0 {
 		if fs.pending != nil {
@@ -560,19 +608,19 @@ func (fs *IncFlowSim) rescheduleHead() {
 // onCompletion completes the (single) flow at the heap head, then
 // recomputes its component and reschedules. A simultaneous second
 // completion fires as its own engine event, in flow-ID order.
-func (fs *IncFlowSim) onCompletion() {
+func (fs *FlowSim) onCompletion() {
 	fs.pending = nil
 	for len(fs.h) > 0 {
 		head := fs.h[0]
 		f, ok := fs.active[head.id]
 		if !ok || f.ver != head.ver {
-			heap.Pop(&fs.h)
+			fs.h.pop()
 			continue
 		}
 		if head.at > fs.Engine.Now() {
 			break // head changed since scheduling; push the event later
 		}
-		heap.Pop(&fs.h)
+		fs.h.pop()
 		fs.g.now = fs.Engine.Now()
 		fs.g.settle(f)
 		fs.records = append(fs.records, FlowRecord{
@@ -595,7 +643,7 @@ type FlowState struct {
 }
 
 // FlowStates returns the active flows sorted by ID.
-func (fs *IncFlowSim) FlowStates() []FlowState {
+func (fs *FlowSim) FlowStates() []FlowState {
 	out := make([]FlowState, 0, len(fs.active))
 	for _, f := range fs.active {
 		out = append(out, FlowState{ID: f.ID, Path: f.Path, Weight: f.weight(), Rate: f.rate})
@@ -605,7 +653,7 @@ func (fs *IncFlowSim) FlowStates() []FlowState {
 }
 
 // Capacities returns a copy of the current per-link capacities.
-func (fs *IncFlowSim) Capacities() []float64 {
+func (fs *FlowSim) Capacities() []float64 {
 	out := make([]float64, len(fs.g.capacity))
 	copy(out, fs.g.capacity)
 	return out

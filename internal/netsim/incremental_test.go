@@ -11,7 +11,7 @@ import (
 	"mosaic/internal/sim"
 )
 
-// incTraceCase drives IncFlowSim through one randomized trace of
+// incTraceCase drives FlowSim through one randomized trace of
 // arrivals, kills, restores, degrades and time advances, verifying after
 // every mutation:
 //
@@ -37,7 +37,7 @@ func incTraceCase(t *testing.T, seed int64, size int) {
 	}
 	hosts := topo.Hosts()
 	engine := sim.NewEngine(seed)
-	fs := NewIncFlowSim(topo, engine)
+	fs := NewFlowSim(topo, engine)
 
 	check := func(step int) {
 		t.Helper()

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"slices"
@@ -40,7 +39,7 @@ import (
 // log, and every rate are byte-identical at any worker count — the same
 // discipline the PHY/MAC pipelines obey.
 //
-// The fleet model is deliberately weaker than IncFlowSim's: rates are
+// The fleet model is deliberately weaker than FlowSim's: rates are
 // exact weighted max-min within a shard given the pinned cross rates,
 // but cross flows advance at the min of per-shard offers (a bounded-
 // staleness approximation refreshed whenever either side's component is
@@ -153,7 +152,8 @@ func (fs *FleetSim) Waterfills() uint64 {
 }
 
 // RatedFlows sums per-flow rate assignments across shards — the work
-// actually done, against FlowSim's recomputes × active upper bound.
+// actually done, against the active-flows-per-event cost of a global
+// re-fill.
 func (fs *FleetSim) RatedFlows() uint64 {
 	var n uint64
 	for _, s := range fs.shards {
@@ -411,7 +411,7 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 			}
 			f.ver++
 			if f.rate > 0 {
-				heap.Push(&sh.h, completion{
+				sh.h.push(completion{
 					at:  fs.now + sim.Time(f.remaining/f.rate),
 					id:  f.ID,
 					ver: f.ver,
@@ -426,13 +426,13 @@ func (fs *FleetSim) Step(epochLen sim.Time) {
 			head := sh.h[0]
 			f, ok := sh.active[head.id]
 			if !ok || f.ver != head.ver {
-				heap.Pop(&sh.h)
+				sh.h.pop()
 				continue
 			}
 			if head.at > epochEnd {
 				break
 			}
-			heap.Pop(&sh.h)
+			sh.h.pop()
 			sh.g.now = head.at
 			sh.g.settle(f)
 			sh.records = append(sh.records, FlowRecord{
@@ -485,7 +485,7 @@ func (sh *fleetShard) compact() {
 		}
 	}
 	sh.h = live
-	heap.Init(&sh.h)
+	sh.h.init()
 }
 
 // runShards executes fn once per shard, on fs.workers goroutines

@@ -22,9 +22,9 @@ func (f RefFlow) weight() float64 {
 }
 
 // MaxMinRates is the naive global reference for weighted max-min
-// fairness by progressive filling — today's FlowSim algorithm, kept as
-// the always-global twin the incremental/sharded engine is diffed
-// against (diffcheck stage flowsim_inc).
+// fairness by progressive filling over every link and flow at once —
+// the always-global twin netsim's incremental FlowSim and sharded
+// FleetSim are diffed against (diffcheck stage flowsim_inc).
 //
 // Semantics: repeatedly find the link with the smallest remaining
 // capacity per unit of unfrozen weight (lowest link index on a tie),
